@@ -42,39 +42,92 @@ impl SlotHeuristic {
 
     /// Picks an index into `loads` (the window's per-slot loads, earliest
     /// first). `entropy` feeds the random variant; deterministic variants
-    /// ignore it.
+    /// ignore it. This is the scheduler's in-place fold over the window,
+    /// fed every slot in order.
     ///
     /// # Panics
     ///
     /// Panics if the window is empty.
     #[must_use]
     pub fn pick(self, loads: &[u32], entropy: u64) -> usize {
-        assert!(!loads.is_empty(), "cannot pick from an empty window");
-        let last = loads.len() - 1;
-        match self {
-            SlotHeuristic::MinLoadLatest => {
-                let mut best = 0;
-                for (idx, &load) in loads.iter().enumerate() {
-                    // `>=` moves ties to the later slot.
-                    if load <= loads[best] {
-                        best = idx;
-                    }
-                }
-                best
-            }
-            SlotHeuristic::MinLoadEarliest => {
-                let mut best = 0;
-                for (idx, &load) in loads.iter().enumerate() {
-                    if load < loads[best] {
-                        best = idx;
-                    }
-                }
-                best
-            }
-            SlotHeuristic::LatestPossible => last,
-            SlotHeuristic::EarliestPossible => 0,
-            SlotHeuristic::Random => (entropy % loads.len() as u64) as usize,
+        let mut pick = self.start();
+        for (idx, &load) in loads.iter().enumerate() {
+            pick.offer(idx, load);
         }
+        match pick.finish(entropy) {
+            Some(Choice::Key(idx) | Choice::Nth(idx)) => idx,
+            None => panic!("cannot pick from an empty window"),
+        }
+    }
+
+    /// Starts the fold form of [`pick`](Self::pick): a caller scanning a
+    /// window in place [`offer`](SlotPick::offer)s each candidate slot,
+    /// earliest first, and skips the ones it rules out.
+    #[must_use]
+    pub(crate) fn start(self) -> SlotPick {
+        SlotPick {
+            heuristic: self,
+            best: None,
+            offered: 0,
+        }
+    }
+}
+
+/// A [`SlotHeuristic`] choice in progress over candidates offered earliest
+/// first, each under a caller-chosen key (e.g. a ring offset).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SlotPick {
+    heuristic: SlotHeuristic,
+    /// Key and load of the best candidate so far.
+    best: Option<(usize, u32)>,
+    offered: usize,
+}
+
+/// The outcome of a [`SlotPick`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Choice {
+    /// The candidate offered under this key.
+    Key(usize),
+    /// The `n`-th candidate offered (0-based). The random variant draws a
+    /// rank, which needs the candidate count and so is known only at the end.
+    Nth(usize),
+}
+
+impl SlotPick {
+    /// Offers the next candidate slot.
+    #[inline]
+    pub(crate) fn offer(&mut self, key: usize, load: u32) {
+        self.offered += 1;
+        let take = match self.best {
+            None => true,
+            Some((_, best)) => match self.heuristic {
+                // `<=` moves ties to the later slot.
+                SlotHeuristic::MinLoadLatest => load <= best,
+                SlotHeuristic::MinLoadEarliest => load < best,
+                SlotHeuristic::LatestPossible => true,
+                SlotHeuristic::EarliestPossible | SlotHeuristic::Random => false,
+            },
+        };
+        if take {
+            self.best = Some((key, load));
+        }
+    }
+
+    /// How many candidates have been offered.
+    #[must_use]
+    pub(crate) fn offered(&self) -> usize {
+        self.offered
+    }
+
+    /// The choice, or `None` if nothing was offered. `entropy` feeds the
+    /// random variant.
+    #[must_use]
+    pub(crate) fn finish(self, entropy: u64) -> Option<Choice> {
+        let (key, _) = self.best?;
+        Some(match self.heuristic {
+            SlotHeuristic::Random => Choice::Nth((entropy % self.offered as u64) as usize),
+            _ => Choice::Key(key),
+        })
     }
 }
 

@@ -33,6 +33,9 @@ pub struct Dhb {
     scheduler: DhbScheduler,
     record_assignments: bool,
     assignments: Vec<(Slot, Vec<crate::scheduler::ScheduledSegment>)>,
+    /// The grant buffer every request is scheduled into; taken into
+    /// `assignments` when recording, reused otherwise.
+    grants: Vec<crate::scheduler::ScheduledSegment>,
     playback_delay_slots: u64,
     /// Segments aired by the most recent `transmissions_in`, kept so
     /// `on_slot_outcome` can map dropped transmission indices back to
@@ -47,6 +50,7 @@ impl Dhb {
             scheduler,
             record_assignments: false,
             assignments: Vec::new(),
+            grants: Vec::new(),
             playback_delay_slots,
             last_transmitted: Vec::new(),
         }
@@ -234,9 +238,10 @@ impl SlottedProtocol for Dhb {
     }
 
     fn on_request(&mut self, slot: Slot) {
-        let schedule = self.scheduler.schedule_request(slot);
+        self.scheduler.schedule_request_into(slot, &mut self.grants);
         if self.record_assignments {
-            self.assignments.push((slot, schedule));
+            self.assignments
+                .push((slot, std::mem::take(&mut self.grants)));
         }
     }
 

@@ -6,7 +6,7 @@ use std::fmt;
 use vod_obs::{Event, EventKind, Journal};
 use vod_types::{SegmentId, Slot};
 
-use crate::heuristic::SlotHeuristic;
+use crate::heuristic::{Choice, SlotHeuristic};
 
 /// Bit width of [`SegmentSet`]'s inline storage.
 const INLINE_BITS: usize = 128;
@@ -14,12 +14,9 @@ const INLINE_BITS: usize = 128;
 /// Fixed-width bitset over segment array indices (`j - 1`).
 ///
 /// The first 128 bits — which cover the paper's `n = 99` — live in two inline
-/// words, so cloning a [`SlotPlan`] and probing a window never touch the heap
-/// for the bit mask. Larger catalogs spill the remaining bits to a boxed
-/// slice sized once at construction (empty, hence allocation-free, for small
-/// `n`). The `idx < INLINE_BITS` test in [`get`](Self::get) compares against
-/// a constant, so the hot window scan stays branch-predictable and
-/// bounds-check-free.
+/// words, so a [`SlotPlan`] for a small catalog never touches the heap.
+/// Larger catalogs spill the remaining bits to a boxed slice sized once at
+/// construction (empty, hence allocation-free, for small `n`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct SegmentSet {
     inline: [u64; 2],
@@ -74,13 +71,6 @@ impl SegmentSet {
 struct SlotPlan {
     /// Bit `j-1`: is `S_j` scheduled in this slot?
     scheduled: SegmentSet,
-    /// `deadline[j-1]`: the latest slot this instance could still air in and
-    /// serve every request depending on it (minimum over the dependents'
-    /// window ends). Meaningful only where `scheduled` is set.
-    deadline: Vec<u64>,
-    /// `retries[j-1]`: how many times this instance has already been
-    /// re-placed by fault recovery.
-    retries: Vec<u32>,
     load: u32,
 }
 
@@ -88,8 +78,6 @@ impl SlotPlan {
     fn empty(n: usize) -> Self {
         SlotPlan {
             scheduled: SegmentSet::new(n),
-            deadline: vec![0; n],
-            retries: vec![0; n],
             load: 0,
         }
     }
@@ -99,6 +87,18 @@ impl SlotPlan {
         out.extend(self.scheduled.iter_ones().map(SegmentId::from_array_index));
         out
     }
+}
+
+/// One scheduled instance of a segment, as kept in the per-segment index.
+#[derive(Debug, Clone, Copy)]
+struct Instance {
+    slot: u64,
+    /// The latest slot this instance could still air in and serve every
+    /// request depending on it (minimum over the dependents' window ends).
+    deadline: u64,
+    /// How many times this instance has already been re-placed by fault
+    /// recovery.
+    retries: u32,
 }
 
 /// Counters kept by the fault-recovery path
@@ -166,10 +166,12 @@ pub struct ScheduledSegment {
 ///
 /// The scheduler maintains a ring of future slots; slot `base` is the next
 /// slot to be transmitted. [`schedule_request`](DhbScheduler::schedule_request)
-/// implements the algorithm verbatim: for each segment, search the window
-/// for an existing instance, otherwise place a new one per the heuristic.
-/// [`pop_slot`](DhbScheduler::pop_slot) advances time and yields the slot's
-/// transmissions.
+/// implements the algorithm: for each segment, search the window for an
+/// existing instance, otherwise place a new one per the heuristic. The
+/// search reads a per-segment index of scheduled instances, so a segment
+/// that is shared costs a step or two instead of a scan of its `T[j]`-slot
+/// window. [`pop_slot`](DhbScheduler::pop_slot) advances time and yields
+/// the slot's transmissions.
 ///
 /// # Example
 ///
@@ -200,6 +202,13 @@ pub struct DhbScheduler {
     ring: VecDeque<SlotPlan>,
     /// Index of the next slot to transmit.
     base: u64,
+    /// `instances[j-1]`: the scheduled instances of `S_j` in slot order,
+    /// from the last popped slot on (those stay until the next pop, for
+    /// [`recover_dropped`](Self::recover_dropped)).
+    instances: Vec<VecDeque<Instance>>,
+    /// This request's receive load per ring offset; kept across requests so
+    /// the client-limit check allocates nothing. Unused without a limit.
+    client_load: Vec<u32>,
     /// Cheap xorshift state for the random heuristic.
     entropy: u64,
     /// Optional per-client receive limit: a request may download at most
@@ -216,8 +225,8 @@ pub struct DhbScheduler {
     /// declared unrecoverable.
     max_recovery_retries: u32,
     /// The slot most recently yielded by [`pop_slot`](Self::pop_slot),
-    /// retained so [`recover_dropped`](Self::recover_dropped) can look up
-    /// the dropped instances' deadlines and retry counts.
+    /// retained so [`recover_dropped`](Self::recover_dropped) can check the
+    /// dropped segments against it.
     last_popped: Option<(u64, SlotPlan)>,
     recovery: RecoveryStats,
     /// Structured event sink; the default disabled journal costs one branch
@@ -289,6 +298,8 @@ impl DhbScheduler {
             heuristic,
             ring: VecDeque::new(),
             base: 0,
+            instances: vec![VecDeque::new(); n],
+            client_load: Vec::new(),
             entropy: 0x9E37_79B9_7F4A_7C15,
             client_limit: None,
             load_cap: None,
@@ -492,169 +503,209 @@ impl DhbScheduler {
     /// Panics if `arrival` precedes the last transmitted slot — requests
     /// cannot be scheduled into the past.
     pub fn schedule_request(&mut self, arrival: Slot) -> Vec<ScheduledSegment> {
+        let mut out = Vec::with_capacity(self.n);
+        self.schedule_request_into(arrival, &mut out);
+        out
+    }
+
+    /// [`schedule_request`](Self::schedule_request) into a caller-owned
+    /// buffer: `out` is cleared and receives one grant per segment, so a
+    /// caller that reuses it schedules without allocating.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `arrival` precedes the last transmitted slot.
+    pub fn schedule_request_into(&mut self, arrival: Slot, out: &mut Vec<ScheduledSegment>) {
         assert!(
             arrival.index() + 1 >= self.base,
             "request in {arrival} arrived after its first window slot was transmitted \
              (next transmission is {})",
             Slot::new(self.base)
         );
+        out.clear();
         self.requests += 1;
         // Window of S_j starts at ring offset (arrival + 1 − base).
         let start_off = (arrival.index() + 1 - self.base) as usize;
-        self.ensure_ring(start_off + self.max_period as usize);
+        let horizon = start_off + self.max_period as usize;
+        self.ensure_ring(horizon);
+        if self.client_limit.is_some() {
+            self.client_load.clear();
+            self.client_load.resize(horizon, 0);
+        }
 
-        // This request's receive load per ring offset (client-limit mode).
-        let mut client_load = vec![0u32; start_off + self.max_period as usize];
-
-        let mut out = Vec::with_capacity(self.n);
-        for j in 1..=self.n {
-            let seg = SegmentId::new(j).expect("j >= 1");
-            let t = self.periods[j - 1] as usize;
-            let window = start_off..start_off + t;
-
-            let client_ok = |off: usize, client_load: &[u32]| match self.client_limit {
-                Some(limit) => client_load[off] < limit,
-                None => true,
-            };
+        for idx in 0..self.n {
+            let seg = SegmentId::from_array_index(idx);
+            let t = self.periods[idx] as usize;
+            // The latest slot any dependent of this instance can accept:
+            // this request's window ends at arrival + T[j].
+            let deadline = arrival.index() + t as u64;
 
             // Paper: "search slots i+1 to i+T[j] for an already scheduled
             // instance of S_j". With a client receive limit, only instances
             // in slots the client can still listen to are shareable; prefer
             // the latest such instance.
-            let mut existing_any = false;
-            let mut shareable: Option<usize> = None;
-            for (rel, plan) in self.ring.range(window.clone()).enumerate() {
-                if plan.scheduled.get(j - 1) {
-                    existing_any = true;
-                    let off = start_off + rel;
-                    if client_ok(off, &client_load) {
-                        shareable = Some(off);
-                    }
+            let (off, shared) = match self.share(idx, start_off, t, deadline) {
+                Ok(off) => {
+                    self.shared_instances += 1;
+                    (off, true)
                 }
-            }
-            // The latest slot any dependent of this instance can accept:
-            // this request's window ends at arrival + T[j].
-            let deadline = arrival.index() + t as u64;
-
-            if let Some(off) = shareable {
-                self.shared_instances += 1;
-                client_load[off] += 1;
-                let plan = &mut self.ring[off];
-                plan.deadline[j - 1] = plan.deadline[j - 1].min(deadline);
-                let load = plan.load;
-                let slot = self.base + off as u64;
-                self.journal
-                    .emit_kind(EventKind::InstanceScheduled, || Event::InstanceScheduled {
-                        segment: j as u32,
-                        shared: true,
-                        window_start: arrival.index() + 1,
-                        window_end: deadline,
-                        slot,
-                        load,
-                    });
-                out.push(ScheduledSegment {
-                    segment: seg,
-                    slot: Slot::new(slot),
-                    newly_scheduled: false,
-                });
-                continue;
-            }
-
-            // "let m_min := min {m_k}; let k_max := max {k | m_k = m_min};
-            // schedule one instance of S_j in slot k_max" — generalised to
-            // the pluggable heuristic, restricted to slots the client can
-            // listen to, and steered away from slots at the load cap when
-            // the window offers an alternative.
-            let candidates: Vec<(usize, u32)> = self
-                .ring
-                .range(window.clone())
-                .enumerate()
-                .map(|(rel, plan)| (start_off + rel, plan.load))
-                .filter(|&(off, _)| client_ok(off, &client_load))
-                .collect();
-            assert!(
-                !candidates.is_empty(),
-                "no client-feasible slot for {seg} in window of {t}: \
-                 the client limit admits at most one segment per slot and \
-                 periods must be non-decreasing for feasibility"
-            );
-            let pool: Vec<(usize, u32)> = match self.load_cap {
-                Some(cap) => {
-                    let under: Vec<(usize, u32)> = candidates
-                        .iter()
-                        .copied()
-                        .filter(|&(_, load)| load < cap)
-                        .collect();
-                    if under.is_empty() {
-                        self.cap_overflows += 1;
-                        candidates
-                    } else {
-                        under
+                Err(existing_any) => {
+                    if existing_any {
+                        self.duplicate_instances += 1;
                     }
+                    let off = self.place(seg, start_off, t);
+                    self.add_instance(idx, off, deadline, 0);
+                    (off, false)
                 }
-                None => candidates,
             };
-            let loads: Vec<u32> = pool.iter().map(|&(_, load)| load).collect();
-            let entropy = self.next_entropy();
-            let chosen = self.heuristic.pick(&loads, entropy);
-            let ring_idx = pool[chosen].0;
-            if existing_any {
-                self.duplicate_instances += 1;
+            if self.client_limit.is_some() {
+                self.client_load[off] += 1;
             }
-            self.place_new(seg, ring_idx, deadline, &mut client_load, &mut out);
-            let load = self.ring[ring_idx].load;
-            let slot = self.base + ring_idx as u64;
+            let load = self.ring[off].load;
+            let slot = self.base + off as u64;
             self.journal
                 .emit_kind(EventKind::InstanceScheduled, || Event::InstanceScheduled {
-                    segment: j as u32,
-                    shared: false,
+                    segment: seg.get() as u32,
+                    shared,
                     window_start: arrival.index() + 1,
                     window_end: deadline,
                     slot,
                     load,
                 });
+            out.push(ScheduledSegment {
+                segment: seg,
+                slot: Slot::new(slot),
+                newly_scheduled: !shared,
+            });
         }
-        out
     }
 
-    /// Places a new instance of `seg` in ring slot `ring_idx`.
-    fn place_new(
+    /// The share check: walks `S_{idx+1}`'s index newest-first through the
+    /// window of `t` slots at ring offset `start_off` and takes the first
+    /// instance the client can still receive, tightening its deadline.
+    /// Returns its ring offset, or whether any instance lay in the window.
+    fn share(
         &mut self,
-        seg: SegmentId,
-        ring_idx: usize,
+        idx: usize,
+        start_off: usize,
+        t: usize,
         deadline: u64,
-        client_load: &mut [u32],
-        out: &mut Vec<ScheduledSegment>,
-    ) {
-        let plan = &mut self.ring[ring_idx];
-        plan.scheduled.insert(seg.array_index());
-        plan.deadline[seg.array_index()] = deadline;
-        plan.retries[seg.array_index()] = 0;
+    ) -> Result<usize, bool> {
+        let client_ok = |off: usize| self.client_limit.is_none_or(|l| self.client_load[off] < l);
+        let first = self.base + start_off as u64;
+        let last = first + t as u64 - 1;
+        let mut existing_any = false;
+        for inst in self.instances[idx].iter_mut().rev() {
+            if inst.slot > last {
+                continue;
+            }
+            if inst.slot < first {
+                break;
+            }
+            existing_any = true;
+            let off = (inst.slot - self.base) as usize;
+            if client_ok(off) {
+                inst.deadline = inst.deadline.min(deadline);
+                return Ok(off);
+            }
+        }
+        Err(existing_any)
+    }
+
+    /// Places a new instance of `seg` in the window of `t` slots at ring
+    /// offset `start_off` and returns its ring offset.
+    ///
+    /// "let m_min := min {m_k}; let k_max := max {k | m_k = m_min};
+    /// schedule one instance of S_j in slot k_max" — generalised to the
+    /// pluggable heuristic, restricted to slots the client can listen to,
+    /// and steered away from slots at the load cap when the window offers
+    /// an alternative. One pass over the window's loads feeds both pools.
+    fn place(&mut self, seg: SegmentId, start_off: usize, t: usize) -> usize {
+        let entropy = self.next_entropy();
+        let client_ok = |off: usize| self.client_limit.is_none_or(|l| self.client_load[off] < l);
+        let below_cap = |load: u32| self.load_cap.is_none_or(|cap| load < cap);
+        let candidates = || {
+            self.ring
+                .range(start_off..start_off + t)
+                .enumerate()
+                .map(move |(rel, plan)| (start_off + rel, plan.load))
+                .filter(move |&(off, _)| client_ok(off))
+        };
+        let mut all = self.heuristic.start();
+        let mut under = self.heuristic.start();
+        for (off, load) in candidates() {
+            all.offer(off, load);
+            if below_cap(load) {
+                under.offer(off, load);
+            }
+        }
+        assert!(
+            all.offered() > 0,
+            "no client-feasible slot for {seg} in window of {t}: \
+             the client limit admits at most one segment per slot and \
+             periods must be non-decreasing for feasibility"
+        );
+        let overflow = under.offered() == 0;
+        let pool = if overflow { all } else { under };
+        let off = match pool.finish(entropy).expect("the pool is non-empty") {
+            Choice::Key(off) => off,
+            Choice::Nth(nth) => {
+                candidates()
+                    .filter(|&(_, load)| overflow || below_cap(load))
+                    .nth(nth)
+                    .expect("the rank lies within the pool")
+                    .0
+            }
+        };
+        if overflow {
+            self.cap_overflows += 1;
+        }
+        off
+    }
+
+    /// Schedules a new instance of `S_{idx+1}` in ring offset `off`: marks
+    /// the ring slot and adds the instance to the index in slot order. New
+    /// instances usually land past every existing one, so the walk from the
+    /// back stops at once.
+    fn add_instance(&mut self, idx: usize, off: usize, deadline: u64, retries: u32) {
+        let plan = &mut self.ring[off];
+        plan.scheduled.insert(idx);
         plan.load += 1;
         self.new_instances += 1;
-        client_load[ring_idx] += 1;
-        out.push(ScheduledSegment {
-            segment: seg,
-            slot: Slot::new(self.base + ring_idx as u64),
-            newly_scheduled: true,
-        });
+        let slot = self.base + off as u64;
+        let list = &mut self.instances[idx];
+        let pos = list
+            .iter()
+            .rposition(|e| e.slot < slot)
+            .map_or(0, |p| p + 1);
+        list.insert(
+            pos,
+            Instance {
+                slot,
+                deadline,
+                retries,
+            },
+        );
     }
 
     /// Transmits the next slot: returns its segments and advances time.
     pub fn pop_slot(&mut self) -> (Slot, Vec<SegmentId>) {
-        let slot = Slot::new(self.base);
-        self.base += 1;
-        match self.ring.pop_front() {
-            Some(plan) => {
-                let segments = plan.segments();
-                self.last_popped = Some((slot.index(), plan));
-                (slot, segments)
-            }
-            None => {
-                self.last_popped = Some((slot.index(), SlotPlan::empty(self.n)));
-                (slot, Vec::new())
+        // The previous slot's instances leave the index now that recovery
+        // can no longer ask for them; each is the front of its list.
+        if let Some((_, aired)) = self.last_popped.take() {
+            for idx in aired.scheduled.iter_ones() {
+                self.instances[idx].pop_front();
             }
         }
+        let slot = Slot::new(self.base);
+        self.base += 1;
+        let plan = self
+            .ring
+            .pop_front()
+            .unwrap_or_else(|| SlotPlan::empty(self.n));
+        let segments = plan.segments();
+        self.last_popped = Some((slot.index(), plan));
+        (slot, segments)
     }
 
     /// Re-enters segment needs whose transmissions were dropped (lost,
@@ -703,16 +754,17 @@ impl DhbScheduler {
                 "dropped {seg} was never scheduled in slot {slot}"
             );
             self.recovery.drops_seen += 1;
-            let retries = plan.retries[idx];
-            if retries >= self.max_recovery_retries {
+            // The aired instance is still the front of its list.
+            let aired = self.instances[idx][0];
+            if aired.retries >= self.max_recovery_retries {
                 self.recovery.unrecoverable += 1;
                 continue;
             }
-            let deadline = plan.deadline[idx];
+            let deadline = aired.deadline;
             if deadline >= self.base {
                 // Slack remains: re-enter the need in [base, deadline].
                 let width = (deadline - self.base + 1) as usize;
-                let placed = self.replant(seg, width, deadline, retries + 1);
+                let placed = self.replant(seg, width, Some(deadline), aired.retries + 1);
                 self.recovery.reschedules += 1;
                 self.journal
                     .emit_kind(EventKind::Rescheduled, || Event::Rescheduled {
@@ -725,15 +777,12 @@ impl DhbScheduler {
                 // dependents' playback into a fresh window instead of
                 // silently starving them.
                 let t = self.periods[idx] as usize;
-                let placed = self.replant(seg, t, u64::MAX, retries + 1);
+                let placed = self.replant(seg, t, None, aired.retries + 1);
                 // Telescoping stall accounting: the dependents were owed
                 // the segment by `deadline` and now get it at `placed`.
                 let stall = placed - deadline;
                 self.recovery.stall_slots += stall;
                 self.recovery.deferred_starts += 1;
-                let off = (placed - self.base) as usize;
-                let d = &mut self.ring[off].deadline[idx];
-                *d = (*d).min(placed);
                 self.journal
                     .emit_kind(EventKind::PlaybackDeferred, || Event::PlaybackDeferred {
                         segment: seg.get() as u32,
@@ -747,36 +796,40 @@ impl DhbScheduler {
     }
 
     /// Shares or places an instance of `seg` somewhere in the next `width`
-    /// slots (deadline-capped at `deadline`), returning the absolute slot
-    /// it will air in. Ignores the client limit and load cap.
-    fn replant(&mut self, seg: SegmentId, width: usize, deadline: u64, retries: u32) -> u64 {
+    /// slots and caps its deadline at `deadline` (`None`: the slot it airs
+    /// in), returning that slot. Ignores the client limit and load cap.
+    fn replant(
+        &mut self,
+        seg: SegmentId,
+        width: usize,
+        deadline: Option<u64>,
+        retries: u32,
+    ) -> u64 {
         let idx = seg.array_index();
         self.ensure_ring(width);
-        let mut shareable = None;
-        for (off, plan) in self.ring.range(0..width).enumerate() {
-            if plan.scheduled.get(idx) {
-                shareable = Some(off);
-            }
+        let (base, last) = (self.base, self.base + width as u64 - 1);
+        let newest = self.instances[idx]
+            .iter_mut()
+            .rev()
+            .find(|e| e.slot <= last)
+            .filter(|e| e.slot >= base);
+        if let Some(inst) = newest {
+            inst.deadline = inst.deadline.min(deadline.unwrap_or(inst.slot));
+            inst.retries = inst.retries.max(retries);
+            return inst.slot;
         }
-        let off = match shareable {
-            Some(off) => off,
-            None => {
-                let loads: Vec<u32> = self.ring.range(0..width).map(|p| p.load).collect();
-                let entropy = self.next_entropy();
-                let chosen = self.heuristic.pick(&loads, entropy);
-                let plan = &mut self.ring[chosen];
-                plan.scheduled.insert(idx);
-                plan.deadline[idx] = u64::MAX;
-                plan.load += 1;
-                self.new_instances += 1;
-                chosen
-            }
+        let mut pick = self.heuristic.start();
+        for (off, plan) in self.ring.range(0..width).enumerate() {
+            pick.offer(off, plan.load);
+        }
+        let entropy = self.next_entropy();
+        // Every slot was offered, so a rank is an offset too.
+        let Some(Choice::Key(off) | Choice::Nth(off)) = pick.finish(entropy) else {
+            unreachable!("recovery windows are never empty")
         };
-        let abs = self.base + off as u64;
-        let plan = &mut self.ring[off];
-        plan.deadline[idx] = plan.deadline[idx].min(deadline);
-        plan.retries[idx] = plan.retries[idx].max(retries);
-        abs
+        let slot = base + off as u64;
+        self.add_instance(idx, off, deadline.unwrap_or(slot), retries);
+        slot
     }
 
     /// The segments currently planned for `slot` (for rendering the paper's

@@ -22,6 +22,12 @@
 //! - `Spans { max }` → `SpansReply` with the most recent raw span records
 //!   as JSONL.
 //!
+//! Consistency point of `Snapshot` and `Spans`: before answering, the
+//! server waits (at most 100 ms) until no span-carrying frame is between
+//! its socket write and its span record. So a scrape sent after a client
+//! read a grant includes that grant's span, unless the service was
+//! flushing span-carrying frames without pause for the whole wait.
+//!
 //! Anything malformed gets a typed [`WireError`]; a server-to-client frame
 //! sent at the server earns an `Error` reply and a closed connection.
 

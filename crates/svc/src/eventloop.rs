@@ -1176,6 +1176,15 @@ impl EventLoop {
                     entry.flush_start = Some(now);
                 }
             }
+            // Held until the spans of the frames this write finishes are
+            // recorded, so a scrape that follows a client's read sees them.
+            let _in_flight = self.shared.telemetry.spans_in_flight(
+                q.entries
+                    .iter()
+                    .take(batch)
+                    .filter(|e| e.span.is_some())
+                    .count(),
+            );
             let slices: Vec<IoSlice<'_>> = q
                 .entries
                 .iter()

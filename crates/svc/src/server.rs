@@ -693,6 +693,10 @@ impl AdminIo {
     }
 }
 
+/// How long an admin `Snapshot`/`Spans` request waits for in-flight spans
+/// to be recorded (see [`Telemetry::settle_spans`]).
+const SPAN_SETTLE: Duration = Duration::from_millis(100);
+
 /// One admin scrape connection: `Hello` handshake first, then any number of
 /// `Snapshot` / `Watch` / `Spans` requests. Every codec error drops the
 /// connection; requests sent while draining are cut short so shutdown never
@@ -723,14 +727,20 @@ fn run_admin_conn(stream: TcpStream, shared: &Arc<Shared>) {
     }
     loop {
         let reply = match io.read_request(shared) {
-            Some(AdminFrame::Snapshot) => AdminFrame::SnapshotReply {
-                json: telemetry
-                    .snapshot_full(&shared.stats, &shared.sessions)
-                    .to_json_pretty(),
-            },
-            Some(AdminFrame::Spans { max }) => AdminFrame::SpansReply {
-                jsonl: telemetry.spans_jsonl(max as usize),
-            },
+            Some(AdminFrame::Snapshot) => {
+                telemetry.settle_spans(SPAN_SETTLE);
+                AdminFrame::SnapshotReply {
+                    json: telemetry
+                        .snapshot_full(&shared.stats, &shared.sessions)
+                        .to_json_pretty(),
+                }
+            }
+            Some(AdminFrame::Spans { max }) => {
+                telemetry.settle_spans(SPAN_SETTLE);
+                AdminFrame::SpansReply {
+                    jsonl: telemetry.spans_jsonl(max as usize),
+                }
+            }
             Some(AdminFrame::Watch { windows }) => {
                 if !stream_windows(&mut io, shared, windows) {
                     return;

@@ -62,6 +62,10 @@ pub(crate) struct Telemetry {
     next_span: AtomicU64,
     wheel: Mutex<WindowWheel>,
     spans: Mutex<SpanSink>,
+    /// Spans whose frames are in a write that has not yet recorded them:
+    /// raised before the write, lowered once its finished spans are in
+    /// `spans` (see [`settle_spans`](Telemetry::settle_spans)).
+    spans_in_flight: AtomicU64,
     /// Requests sitting in each shard's admission queue right now.
     queue_depth: Vec<AtomicU64>,
     /// Latest observed scheduling lag per shard: how many slots the shard's
@@ -98,6 +102,7 @@ impl Telemetry {
             next_span: AtomicU64::new(0),
             wheel: Mutex::new(WindowWheel::new(WINDOW_COUNT)),
             spans: Mutex::new(SpanSink::new(SPAN_STAGES, span_recent_cap)),
+            spans_in_flight: AtomicU64::new(0),
             queue_depth: (0..shards).map(|_| AtomicU64::new(0)).collect(),
             clock_lag_slots: (0..shards).map(|_| AtomicU64::new(0)).collect(),
             restarts_used: (0..shards).map(|_| AtomicU64::new(0)).collect(),
@@ -183,6 +188,29 @@ impl Telemetry {
         lock_unpoisoned(&self.spans).record(id, shard, stage_ns, total_ns, end);
     }
 
+    /// Marks `n` span-carrying frames as entering a socket write; the
+    /// returned guard lowers the count when dropped, which the writer does
+    /// only after recording the spans of every frame the write finished.
+    pub(crate) fn spans_in_flight(&self, n: usize) -> InFlightSpans<'_> {
+        let n = n as u64;
+        if n > 0 {
+            self.spans_in_flight.fetch_add(n, Ordering::SeqCst);
+        }
+        InFlightSpans { telemetry: self, n }
+    }
+
+    /// The admin plane's consistency point: waits, for at most `timeout`,
+    /// until no span-carrying write is between its syscall and its span
+    /// records. A scrape sent after a client read its grant therefore sees
+    /// that grant's span, unless frames were flushing without pause for
+    /// the whole timeout.
+    pub(crate) fn settle_spans(&self, timeout: Duration) {
+        let deadline = Instant::now() + timeout;
+        while self.spans_in_flight.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_micros(20));
+        }
+    }
+
     /// The recent raw span records rendered as JSONL (admin `SPANS` reply).
     pub(crate) fn spans_jsonl(&self, max: usize) -> String {
         lock_unpoisoned(&self.spans).render_recent_jsonl(max)
@@ -262,6 +290,22 @@ impl Telemetry {
         *r.ensure_counter("svc.snapshot.mono_ns") = self.mono_ns();
         *r.ensure_counter("svc.snapshot.window_id") = now_id;
         r
+    }
+}
+
+/// Guard from [`Telemetry::spans_in_flight`].
+pub(crate) struct InFlightSpans<'a> {
+    telemetry: &'a Telemetry,
+    n: u64,
+}
+
+impl Drop for InFlightSpans<'_> {
+    fn drop(&mut self) {
+        if self.n > 0 {
+            self.telemetry
+                .spans_in_flight
+                .fetch_sub(self.n, Ordering::SeqCst);
+        }
     }
 }
 
