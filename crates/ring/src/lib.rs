@@ -13,9 +13,9 @@
 //! Payload bytes come from a [`SegmentStore`] that *synthesizes* them
 //! deterministically from a seed and the `(video, segment)` pair, with
 //! length proportional to the segment's media duration. That makes every
-//! delivered byte verifiable — a client regenerates the expected payload
-//! locally and compares checksums — without shipping media files in the
-//! repository.
+//! delivered byte verifiable without shipping media files in the
+//! repository: [`PayloadStream`] is the same stream, seekable by word, so
+//! a receiver checks each chunk at its offset as it arrives.
 //!
 //! The crate is dependency-free and, like the rest of the workspace,
 //! forbids unsafe code.
@@ -27,4 +27,6 @@ mod ring;
 mod store;
 
 pub use ring::{Cursor, RingRead, RingStats, SegmentRing};
-pub use store::{checksum64, payload_len_for, SegmentPayload, SegmentStore, DEFAULT_STORE_SEED};
+pub use store::{
+    checksum64, payload_len_for, PayloadStream, SegmentPayload, SegmentStore, DEFAULT_STORE_SEED,
+};

@@ -34,9 +34,7 @@ impl SegmentPayload {
     /// bytes — that determinism *is* the verification oracle.
     #[must_use]
     pub fn synthesize(seed: u64, video: u32, segment: u32, len: usize) -> Self {
-        let mut state = seed
-            ^ (u64::from(video) << 32)
-            ^ u64::from(segment).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        let mut state = PayloadStream::new(seed, video, segment).start;
         let mut bytes = Vec::with_capacity(len);
         while bytes.len() < len {
             let word = splitmix64(&mut state).to_le_bytes();
@@ -86,6 +84,63 @@ impl SegmentPayload {
     #[must_use]
     pub fn checksum(&self) -> u64 {
         self.checksum
+    }
+}
+
+/// The splitmix64 stream every payload of one `(seed, video, segment)` is
+/// a prefix of, seekable by word.
+///
+/// splitmix64 advances its state by a constant γ before mixing, so word
+/// `k` (payload bytes `8k..8k + 8`, little-endian) is `mix(start + (k+1)·γ)`:
+/// any offset can be produced — or checked — without generating the words
+/// before it. A receiver uses this to verify each chunk in place as it
+/// arrives, with no reassembly buffer and no oracle payload.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PayloadStream {
+    start: u64,
+}
+
+impl PayloadStream {
+    /// The stream behind [`SegmentPayload::synthesize`]`(seed, video,
+    /// segment, _)`.
+    #[must_use]
+    pub fn new(seed: u64, video: u32, segment: u32) -> Self {
+        PayloadStream {
+            start: seed ^ (u64::from(video) << 32) ^ u64::from(segment).wrapping_mul(GAMMA),
+        }
+    }
+
+    /// Word `k` of the stream: payload bytes `8k..8k + 8`, little-endian.
+    #[must_use]
+    pub fn word(&self, k: u64) -> u64 {
+        mix(self
+            .start
+            .wrapping_add(k.wrapping_add(1).wrapping_mul(GAMMA)))
+    }
+
+    /// Whether `bytes` equal the stream's bytes starting at byte `offset`.
+    #[must_use]
+    pub fn matches(&self, offset: u64, bytes: &[u8]) -> bool {
+        let mut k = offset / 8;
+        // A chunk starting mid-word: compare the rest of that word first.
+        let skip = (offset % 8) as usize;
+        let head = bytes.len().min((8 - skip) % 8);
+        let (first, rest) = bytes.split_at(head);
+        if head > 0 {
+            if first != &self.word(k).to_le_bytes()[skip..skip + head] {
+                return false;
+            }
+            k += 1;
+        }
+        let mut words = rest.chunks_exact(8);
+        for w in &mut words {
+            if u64::from_le_bytes(w.try_into().expect("8-byte chunk")) != self.word(k) {
+                return false;
+            }
+            k += 1;
+        }
+        let tail = words.remainder();
+        tail == &self.word(k).to_le_bytes()[..tail.len()]
     }
 }
 
@@ -172,9 +227,16 @@ fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
+/// splitmix64's state increment γ.
+const GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
+
 fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
+    *state = state.wrapping_add(GAMMA);
+    mix(*state)
+}
+
+/// splitmix64's output function.
+fn mix(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)

@@ -5,7 +5,7 @@
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use vod_ring::{Cursor, RingRead, SegmentPayload, SegmentRing};
+use vod_ring::{Cursor, PayloadStream, RingRead, SegmentPayload, SegmentRing};
 
 /// One subscriber's model state: where its cursor should be and what it
 /// has accounted for.
@@ -119,6 +119,36 @@ proptest! {
                     )))
                 }
             }
+        }
+    }
+
+    #[test]
+    fn payload_stream_is_byte_identical_to_synthesis_at_any_offset(
+        seed in any::<u64>(),
+        video in any::<u32>(),
+        segment in any::<u32>(),
+        len in 0usize..2_100,
+        start_pick in any::<u64>(),
+        end_pick in any::<u64>(),
+    ) {
+        let payload = SegmentPayload::synthesize(seed, video, segment, len);
+        let stream = PayloadStream::new(seed, video, segment);
+        // Word by word, the seekable stream rebuilds the whole payload.
+        let rebuilt: Vec<u8> = (0..len.div_ceil(8) as u64)
+            .flat_map(|k| stream.word(k).to_le_bytes())
+            .take(len)
+            .collect();
+        prop_assert_eq!(&rebuilt[..], payload.bytes());
+        // Any chunk, at any (usually unaligned) offset, checks in place.
+        let start = (start_pick % (len as u64 + 1)) as usize;
+        let end = start + (end_pick % ((len - start) as u64 + 1)) as usize;
+        let chunk = &payload.bytes()[start..end];
+        prop_assert!(stream.matches(start as u64, chunk));
+        if !chunk.is_empty() {
+            let mut flipped = chunk.to_vec();
+            let at = (start_pick ^ end_pick) as usize % flipped.len();
+            flipped[at] ^= 1 << (end_pick % 8);
+            prop_assert!(!stream.matches(start as u64, &flipped), "flip at {}", start + at);
         }
     }
 }

@@ -15,8 +15,8 @@
 //! into whatever engine they drive (the discrete-event simulator's
 //! [`TimeVaryingPoisson`] workloads, or `vodload`'s open-loop pacing over a
 //! live server). Keeping them here lets the load generator and the simulator
-//! exercise the *same* shapes, so a transition policy tuned in simulation
-//! sees an identical demand curve when replayed against `vod-svc`.
+//! exercise the *same* shapes, so a demand curve studied in simulation is
+//! the one replayed against `vod-svc`.
 
 use vod_types::{ArrivalRate, Seconds};
 
@@ -137,8 +137,8 @@ pub enum ArrivalShape {
     /// across the run (approximated by eight equal steps, mean 1×).
     Ramp,
     /// A flash crowd: quiet at 0.25× for the first 40% of the run, a 4×
-    /// spike for the middle 20%, then quiet again — a 16:1 swing that drives
-    /// a popularity-driven policy cold→hot and back within one run.
+    /// spike for the middle 20%, then quiet again — a 16:1 swing within
+    /// one run.
     FlashCrowd,
 }
 

@@ -76,7 +76,7 @@ use crate::server::Shared;
 use crate::session::{lock_unpoisoned, Admit, Session};
 use crate::shard::{ReplyTo, ShardMsg};
 use crate::telemetry::{dur_ns, Outbound, SpanStart};
-use crate::wire::{Frame, FrameDecoder, ARRIVAL_AUTO, PROTOCOL_VERSION};
+use crate::wire::{Frame, FrameDecoder, ARRIVAL_AUTO, MAX_CLIENT_FRAME_LEN, PROTOCOL_VERSION};
 
 thread_local! {
     /// True on event-loop threads. Producer sends block on a full outbound
@@ -839,11 +839,8 @@ impl EventLoop {
                         seq,
                         video,
                         segments: meta.segments,
-                        // Live accessors: after an adaptive protocol
-                        // transition these report the scheduler new
-                        // arrivals actually land on.
-                        protocol: meta.protocol(),
-                        periods: meta.periods(),
+                        protocol: meta.protocol.clone(),
+                        periods: meta.periods.clone(),
                     },
                     Some(_) => Frame::Rejected {
                         seq,
@@ -1306,7 +1303,7 @@ impl EventLoop {
             gen,
             out,
             sender,
-            decoder: FrameDecoder::new(),
+            decoder: FrameDecoder::with_max_len(MAX_CLIENT_FRAME_LEN),
             session: None,
             read_closed: false,
             close_when_flushed: false,

@@ -34,10 +34,10 @@
 //! its video's broadcast channel before the first request is sent (a
 //! start gate holds all connections until every subscription is live, so
 //! no publication can air unobserved). The inbound `SegmentData` chunks
-//! feed a [`Reassembler`], which rebuilds each publication in order,
-//! compares the bytes against a locally synthesized
-//! [`SegmentPayload`](vod_ring::SegmentPayload) oracle sharing the
-//! server's store seed, converts channel-seq jumps into explicit gap
+//! feed a [`Reassembler`], which follows each publication in offset order,
+//! checks every chunk in place against the
+//! [`PayloadStream`](vod_ring::PayloadStream) keyed by the server's store
+//! seed, converts channel-seq jumps into explicit gap
 //! counts, and checks that every segment granted to *this* connection
 //! finishes arriving before its playback deadline — grant receipt plus
 //! `(air slot − arrival slot) × slot_ns` on the server's dilated clock.
@@ -57,7 +57,7 @@ use std::time::{Duration, Instant};
 
 use vod_net::{Events, Interest, Poller};
 use vod_obs::LogHistogram;
-use vod_ring::{checksum64, SegmentPayload};
+use vod_ring::PayloadStream;
 
 use crate::session::lock_unpoisoned;
 use crate::wire::{
@@ -98,13 +98,6 @@ pub struct LoadConfig {
     /// `Some(k)`: explicit arrival slots `0, k, 2k, …` per connection;
     /// `None`: stamp requests with the server's virtual clock.
     pub arrival_stride: Option<u64>,
-    /// Explicit per-request arrival slots: connection `c` stamps request
-    /// `i` with `arrival_slots[c % len][i]` (a schedule shorter than the
-    /// request count keeps extending by its last gap). Overrides
-    /// [`arrival_stride`](Self::arrival_stride); this is how a test drives
-    /// a deterministic time-varying arrival density (e.g. a flash crowd in
-    /// slot space) through the policy engine.
-    pub arrival_slots: Option<Arc<Vec<Vec<u64>>>>,
     /// Keep every granted schedule (for equivalence checks); costs memory.
     pub collect_grants: bool,
     /// Reconnect attempts allowed per connection after the first (0 = give
@@ -145,7 +138,6 @@ impl Default for LoadConfig {
             open_rate: None,
             pacing: None,
             arrival_stride: Some(1),
-            arrival_slots: None,
             collect_grants: false,
             max_reconnects: 2,
             read_timeout: Duration::from_secs(10),
@@ -352,25 +344,29 @@ impl DataTally {
     }
 }
 
-/// A publication mid-reassembly: its identity and the bytes so far.
+/// A publication mid-reassembly: its identity, how many bytes have
+/// arrived, and whether every one of them matched the stream.
 #[derive(Debug)]
 struct Partial {
     channel_seq: u64,
     segment: u32,
     slot: u64,
     total_len: u64,
-    buf: Vec<u8>,
+    received: u64,
+    intact: bool,
 }
 
 /// Client-side reassembly and verification of one subscription's
 /// `SegmentData` stream.
 ///
-/// Chunks sharing a channel sequence are appended in offset order until
-/// `total_len` bytes have arrived, then the whole payload is compared
-/// against a locally synthesized [`vod_ring::SegmentPayload`] with the
-/// same `(seed, video, segment, len)` — byte equality, not just a
-/// checksum. Channel-seq jumps become [`DataTally::gaps`]; framing
-/// violations become [`DataTally::chunk_errors`].
+/// Chunks sharing a channel sequence must tile `0..total_len` in offset
+/// order. Each chunk is checked in place as it arrives, at its offset,
+/// against the [`PayloadStream`] for `(seed, video, segment)` — byte
+/// equality with the store's payload, with no reassembly buffer. Once
+/// `total_len` bytes have arrived the publication counts as verified, or
+/// as a [`DataTally::checksum_mismatches`] if any chunk differed.
+/// Channel-seq jumps become [`DataTally::gaps`]; framing violations
+/// become [`DataTally::chunk_errors`].
 ///
 /// Deadlines: [`Reassembler::on_grant`] records, for every granted
 /// instance, the wall-clock instant its bytes must be complete by —
@@ -507,28 +503,29 @@ impl Reassembler {
                 segment,
                 slot,
                 total_len,
-                buf: Vec::with_capacity(total_len.min(1 << 24) as usize),
+                received: 0,
+                intact: true,
             });
         }
         let p = self.partial.as_mut().expect("partial just ensured");
         if p.segment != segment
             || p.slot != slot
             || p.total_len != total_len
-            || offset != p.buf.len() as u64
+            || offset != p.received
         {
             self.tally.chunk_errors += 1;
             self.partial = None;
             return;
         }
-        p.buf.extend_from_slice(bytes);
-        if (p.buf.len() as u64) < p.total_len {
+        p.intact =
+            p.intact && PayloadStream::new(self.seed, self.video, segment).matches(offset, bytes);
+        p.received += bytes.len() as u64;
+        if p.received < p.total_len {
             return;
         }
         let done = self.partial.take().expect("complete partial");
         self.expected_seq = done.channel_seq + 1;
-        let oracle =
-            SegmentPayload::synthesize(self.seed, self.video, done.segment, done.buf.len());
-        if done.buf == oracle.bytes() && checksum64(&done.buf) == oracle.checksum() {
+        if done.intact {
             self.tally.segments_verified += 1;
         } else {
             self.tally.checksum_mismatches += 1;
@@ -978,11 +975,6 @@ fn drive_conn(
         .as_deref()
         .filter(|p| !p.is_empty())
         .map(|p| p[index % p.len()].as_slice());
-    let slot_schedule: Option<&[u64]> = config
-        .arrival_slots
-        .as_deref()
-        .filter(|s| !s.is_empty())
-        .map(|s| s[index % s.len()].as_slice());
     let mut attempt: u32 = 0;
 
     loop {
@@ -1001,7 +993,6 @@ fn drive_conn(
             attempt,
             if attempt == 1 { gate } else { None },
             schedule,
-            slot_schedule,
         ) {
             Ok(end) => end,
             Err(e) => {
@@ -1074,7 +1065,6 @@ fn run_attempt(
     attempt: u32,
     gate: Option<&StartGate>,
     schedule: Option<&[Duration]>,
-    slot_schedule: Option<&[u64]>,
 ) -> io::Result<AttemptEnd> {
     let (mut io, mut writer) = ClientIo::connect(addr)?;
     handshake(&mut io, &mut writer, config, state, session, outcome)?;
@@ -1151,22 +1141,9 @@ fn run_attempt(
                 }
             }
         }
-        let arrival_slot = match slot_schedule {
-            Some(slots) => slots.get(seq as usize).copied().unwrap_or_else(|| {
-                // Past the schedule's end: keep extending by its last gap
-                // so stamps stay non-decreasing.
-                let last = slots[slots.len() - 1];
-                let tail_gap = if slots.len() >= 2 {
-                    last.saturating_sub(slots[slots.len() - 2])
-                } else {
-                    1
-                };
-                last + tail_gap * (seq + 1 - slots.len() as u64)
-            }),
-            None => config
-                .arrival_stride
-                .map_or(ARRIVAL_AUTO, |stride| seq * stride),
-        };
+        let arrival_slot = config
+            .arrival_stride
+            .map_or(ARRIVAL_AUTO, |stride| seq * stride);
         lock_unpoisoned(state).sent_at[seq as usize] = Some(Instant::now());
         let frame = Frame::Request {
             seq,
@@ -1468,6 +1445,7 @@ fn splitmix64(state: &mut u64) -> u64 {
 mod tests {
     use super::*;
     use crate::wire::GrantedSegment;
+    use vod_ring::SegmentPayload;
 
     const SEED: u64 = 0xfeed_beef;
 
@@ -1504,6 +1482,30 @@ mod tests {
         r.on_chunk(1, 3, 0, 0, 32, &wrong, Instant::now());
         assert_eq!(r.tally().checksum_mismatches, 1);
         assert_eq!(r.tally().segments_verified, 0);
+    }
+
+    #[test]
+    fn a_flipped_byte_at_any_chunk_position_is_a_checksum_mismatch() {
+        // Three 100-byte chunks: 100 is not a multiple of 8, so stream word
+        // 12 (bytes 96..104) straddles the first chunk boundary.
+        let p = oracle(2, 5, 300);
+        let deliver = |bytes: &[u8]| {
+            let mut r = ready(2, 300, 1_000_000);
+            for start in [0usize, 100, 200] {
+                let chunk = &bytes[start..start + 100];
+                r.on_chunk(5, 4, 0, start as u64, 300, chunk, Instant::now());
+            }
+            let t = r.tally();
+            (t.segments_verified, t.checksum_mismatches)
+        };
+        assert_eq!(deliver(p.bytes()), (1, 0), "intact payload verifies");
+        // A chunk's first byte, its last byte, and each side of the word
+        // that straddles a chunk boundary.
+        for flip in [100, 199, 0, 299, 98, 102] {
+            let mut bytes = p.bytes().to_vec();
+            bytes[flip] ^= 0x01;
+            assert_eq!(deliver(&bytes), (0, 1), "flip at byte {flip}");
+        }
     }
 
     #[test]

@@ -30,8 +30,15 @@ pub const PROTOCOL_VERSION: u32 = 4;
 
 /// Hard upper bound on a frame payload, enforced by both sides before any
 /// allocation. Keeps a malicious or corrupt length prefix from ballooning
-/// memory.
+/// memory. Clients need it whole: a `SegmentData` chunk fills it exactly.
 pub const MAX_FRAME_LEN: usize = 1 << 20;
+
+/// Upper bound on a client→server frame payload, enforced by the server's
+/// inbound decoder. The largest frame a client sends is `Request` (21
+/// bytes); the rest is margin. A longer length prefix can never announce
+/// a valid frame, so the server rejects it as soon as its 4 bytes land
+/// instead of buffering up to [`MAX_FRAME_LEN`] per connection.
+pub const MAX_CLIENT_FRAME_LEN: usize = 64;
 
 /// `Request::arrival_slot` sentinel: stamp the request with the service's
 /// virtual slot clock instead of an explicit slot.
@@ -227,7 +234,8 @@ pub enum Frame {
 pub enum WireError {
     /// The underlying socket failed.
     Io(io::Error),
-    /// The length prefix exceeded [`MAX_FRAME_LEN`].
+    /// The length prefix exceeded the decoder's cap ([`MAX_FRAME_LEN`], or
+    /// [`MAX_CLIENT_FRAME_LEN`] on the server's inbound side).
     Oversized(u32),
     /// The payload ended before the frame's fields did.
     Truncated,
@@ -249,7 +257,7 @@ impl fmt::Display for WireError {
         match self {
             WireError::Io(e) => write!(f, "i/o error: {e}"),
             WireError::Oversized(len) => {
-                write!(f, "frame length {len} exceeds the {MAX_FRAME_LEN}-byte cap")
+                write!(f, "frame length {len} exceeds the frame cap")
             }
             WireError::Truncated => f.write_str("payload truncated"),
             WireError::BadTag(tag) => write!(f, "unknown frame tag {tag}"),
@@ -628,17 +636,34 @@ pub fn write_frame(writer: &mut impl Write, frame: &Frame) -> io::Result<()> {
 ///
 /// An oversized length prefix is detected as soon as its 4 bytes land,
 /// before buffering any payload — same guarantee as [`read_frame`].
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct FrameBuffer {
     buf: Vec<u8>,
     pos: usize,
+    max_len: usize,
+}
+
+impl Default for FrameBuffer {
+    fn default() -> Self {
+        FrameBuffer::with_max_len(MAX_FRAME_LEN)
+    }
 }
 
 impl FrameBuffer {
-    /// A fresh empty buffer.
+    /// A fresh empty buffer accepting payloads up to [`MAX_FRAME_LEN`].
     #[must_use]
     pub fn new() -> FrameBuffer {
         FrameBuffer::default()
+    }
+
+    /// A fresh empty buffer rejecting any length prefix over `max_len`.
+    #[must_use]
+    pub(crate) fn with_max_len(max_len: usize) -> FrameBuffer {
+        FrameBuffer {
+            buf: Vec::new(),
+            pos: 0,
+            max_len,
+        }
     }
 
     /// Absorbs `bytes` read from the transport.
@@ -665,9 +690,9 @@ impl FrameBuffer {
     ///
     /// # Errors
     ///
-    /// [`WireError::Oversized`] when a length prefix exceeds
-    /// [`MAX_FRAME_LEN`]; the buffer is poisoned afterwards (the stream
-    /// has no recoverable framing past a corrupt prefix).
+    /// [`WireError::Oversized`] when a length prefix exceeds the buffer's
+    /// cap; the buffer is poisoned afterwards (the stream has no
+    /// recoverable framing past a corrupt prefix).
     pub fn next_payload(&mut self) -> Result<Option<Vec<u8>>, WireError> {
         if self.buffered() < 4 {
             return Ok(None);
@@ -676,7 +701,7 @@ impl FrameBuffer {
             .try_into()
             .expect("4 bytes");
         let len = u32::from_le_bytes(len_bytes);
-        if len as usize > MAX_FRAME_LEN {
+        if len as usize > self.max_len {
             return Err(WireError::Oversized(len));
         }
         let total = 4 + len as usize;
@@ -714,10 +739,20 @@ pub struct FrameDecoder {
 }
 
 impl FrameDecoder {
-    /// A fresh decoder with no buffered bytes.
+    /// A fresh decoder with no buffered bytes, accepting frames up to
+    /// [`MAX_FRAME_LEN`] (the client side: `SegmentData` fills the cap).
     #[must_use]
     pub fn new() -> FrameDecoder {
         FrameDecoder::default()
+    }
+
+    /// A fresh decoder rejecting any length prefix over `max_len` — the
+    /// server's inbound side uses [`MAX_CLIENT_FRAME_LEN`].
+    #[must_use]
+    pub fn with_max_len(max_len: usize) -> FrameDecoder {
+        FrameDecoder {
+            buf: FrameBuffer::with_max_len(max_len),
+        }
     }
 
     /// Absorbs `bytes` read from the transport.
@@ -1113,6 +1148,17 @@ mod tests {
         decoder.extend(&u32::MAX.to_le_bytes());
         let err = decoder.next_frame().unwrap_err();
         assert!(matches!(err, WireError::Oversized(_)), "{err}");
+    }
+
+    #[test]
+    fn inbound_decoder_rejects_a_prefix_over_the_client_cap_at_byte_four() {
+        let mut decoder = FrameDecoder::with_max_len(MAX_CLIENT_FRAME_LEN);
+        decoder.extend(&(MAX_CLIENT_FRAME_LEN as u32).to_le_bytes());
+        assert_eq!(decoder.next_frame().expect("at the cap"), None, "waits");
+        let mut decoder = FrameDecoder::with_max_len(MAX_CLIENT_FRAME_LEN);
+        decoder.extend(&(MAX_CLIENT_FRAME_LEN as u32 + 1).to_le_bytes());
+        let err = decoder.next_frame().unwrap_err();
+        assert!(matches!(err, WireError::Oversized(65)), "{err}");
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! heterogeneous-catalog (`Describe`, invalid entries, version mismatch),
 //! and `STATS` contracts.
 
-use std::io::Write;
+use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
@@ -569,6 +569,53 @@ fn mismatched_hello_version_drops_the_connection() {
         Ok(None) | Err(_) => {}
         Ok(Some(frame)) => panic!("expected a dropped connection, got {frame:?}"),
     }
+    let stats = service.stats().clone();
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while stats.protocol_errors.load(Ordering::Relaxed) == 0 {
+        assert!(Instant::now() < deadline, "protocol error never counted");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let _ = service.shutdown();
+}
+
+#[test]
+fn an_oversized_client_prefix_closes_the_connection_at_once() {
+    // No client frame is longer than a `Request`, so a length prefix of
+    // 4096 can never announce a valid one: the server must close as soon
+    // as the 4 prefix bytes land, not wait for a payload that never comes.
+    let service = Service::start(
+        "127.0.0.1:0",
+        &SvcConfig {
+            catalog: ServeCatalog::uniform(1, small_video()),
+            shards: 1,
+            ..SvcConfig::default()
+        },
+    )
+    .expect("service starts");
+    let mut stream = TcpStream::connect(service.local_addr()).expect("connect");
+    stream
+        .write_all(&4096u32.to_le_bytes())
+        .expect("write prefix");
+    let started = Instant::now();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(1)))
+        .expect("read timeout");
+    let mut buf = [0u8; 256];
+    loop {
+        match stream.read(&mut buf) {
+            Ok(0) => break,
+            Ok(_) => {}
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                panic!(
+                    "server still holds the connection open after {:?}",
+                    started.elapsed()
+                )
+            }
+            // A reset closes the connection too.
+            Err(_) => break,
+        }
+    }
+    assert!(started.elapsed() < Duration::from_secs(1));
     let stats = service.stats().clone();
     let deadline = Instant::now() + Duration::from_secs(5);
     while stats.protocol_errors.load(Ordering::Relaxed) == 0 {

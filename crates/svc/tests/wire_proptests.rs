@@ -4,7 +4,7 @@
 //! allocations.
 
 use proptest::prelude::*;
-use vod_svc::wire::{read_frame, Frame, WireError};
+use vod_svc::wire::{read_frame, Frame, FrameDecoder, WireError, MAX_CLIENT_FRAME_LEN};
 use vod_svc::{GrantedSegment, MAX_FRAME_LEN, PROTOCOL_VERSION, SEGMENT_CHUNK_BYTES};
 
 /// All sixteen frame kinds, driven by primitive inputs (the proptest shim
@@ -149,6 +149,33 @@ proptest! {
         // An empty stream is clean EOF, not an error.
         let mut empty = &bytes[..0];
         prop_assert!(matches!(read_frame(&mut empty), Ok(None)));
+    }
+
+    #[test]
+    fn every_client_frame_fits_the_servers_inbound_cap(
+        (kind, a) in (0usize..7, any::<u64>()),
+        (b, c) in (any::<u64>(), any::<u32>()),
+    ) {
+        // Every frame kind a client may send the server.
+        let frame = match kind {
+            0 => Frame::Hello { version: PROTOCOL_VERSION },
+            1 => Frame::Request { seq: a, video: c, arrival_slot: b },
+            2 => Frame::Stats,
+            3 => Frame::Goodbye,
+            4 => Frame::Describe { seq: a, video: c },
+            5 => Frame::Resume { session: a, last_seq_seen: b },
+            _ => Frame::Subscribe { video: c },
+        };
+        let bytes = frame.encode();
+        prop_assert!(
+            bytes.len() - 4 <= MAX_CLIENT_FRAME_LEN,
+            "{:?} encodes to {} payload bytes",
+            frame,
+            bytes.len() - 4
+        );
+        let mut inbound = FrameDecoder::with_max_len(MAX_CLIENT_FRAME_LEN);
+        inbound.extend(&bytes);
+        prop_assert_eq!(inbound.next_frame().expect("within the cap"), Some(frame));
     }
 
     #[test]
