@@ -3,8 +3,10 @@
 //!
 //! A [`SegmentRing`] holds the last `capacity` publications of one video
 //! channel. The publisher appends under a short mutex and bumps an atomic
-//! head sequence; each publication is an `Arc<SegmentPayload>`, so the
-//! ring never copies payload bytes. Readers hold a [`Cursor`] — just the
+//! head sequence. The ring is generic over its entry: the service's rings
+//! hold only a segment number (its bytes are generated when they are
+//! encoded for a subscriber), while an `Arc<SegmentPayload>` entry shares
+//! one payload among every reader. Readers hold a [`Cursor`] — just the
 //! next sequence number they want — and poll with [`SegmentRing::read`]:
 //!
 //! - a live publication comes back as [`RingRead::Payload`] and the
@@ -21,9 +23,7 @@
 //! point of a broadcast ring over per-subscriber queues.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
-
-use crate::store::SegmentPayload;
+use std::sync::{Mutex, MutexGuard};
 
 /// A subscriber's read position: the next publication sequence it wants.
 ///
@@ -51,16 +51,16 @@ impl Cursor {
 
 /// One poll of the ring through a cursor.
 #[derive(Debug, Clone)]
-pub enum RingRead {
+pub enum RingRead<T> {
     /// The publication at the cursor, which advanced past it.
     Payload {
         /// The publication's channel sequence number.
         seq: u64,
         /// The absolute slot the granted instance airs in — publication
-        /// metadata, carried alongside the shared payload.
+        /// metadata, carried alongside the entry.
         slot: u64,
-        /// The shared payload — cloning this is the zero-copy fan-out.
-        payload: Arc<SegmentPayload>,
+        /// A clone of the published entry.
+        payload: T,
     },
     /// The ring lapped this cursor: `missed` publications are gone and the
     /// cursor now points at `resume`, the oldest live sequence.
@@ -87,28 +87,29 @@ pub struct RingStats {
 }
 
 #[derive(Debug)]
-struct Slot {
+struct Slot<T> {
     seq: u64,
     air_slot: u64,
-    payload: Arc<SegmentPayload>,
+    payload: T,
 }
 
-#[derive(Debug, Default)]
-struct Inner {
-    slots: Vec<Option<Slot>>,
+#[derive(Debug)]
+struct Inner<T> {
+    slots: Vec<Option<Slot<T>>>,
     evicted: u64,
 }
 
-/// A bounded broadcast ring of `Arc`-shared segment payloads.
+/// A bounded broadcast ring of publications, each an entry `T` (cloned
+/// out to every reader) plus the slot it airs in.
 #[derive(Debug)]
-pub struct SegmentRing {
-    inner: Mutex<Inner>,
+pub struct SegmentRing<T> {
+    inner: Mutex<Inner<T>>,
     /// Mirrors the publish count so `cursor()`/`stats()` need no lock.
     head: AtomicU64,
     capacity: usize,
 }
 
-impl SegmentRing {
+impl<T: Clone> SegmentRing<T> {
     /// A ring retaining the most recent `capacity` publications
     /// (clamped to at least 1).
     #[must_use]
@@ -132,7 +133,7 @@ impl SegmentRing {
     /// Publishes `payload` as the instance airing in `air_slot`, returning
     /// its channel sequence number. Never blocks on subscribers; a full
     /// ring overwrites its oldest slot.
-    pub fn publish(&self, payload: Arc<SegmentPayload>, air_slot: u64) -> u64 {
+    pub fn publish(&self, payload: T, air_slot: u64) -> u64 {
         let mut inner = lock_unpoisoned(&self.inner);
         let seq = self.head.load(Ordering::Relaxed);
         let idx = (seq % self.capacity as u64) as usize;
@@ -161,7 +162,7 @@ impl SegmentRing {
 
     /// Polls the publication at `cursor`, advancing it as described on
     /// [`RingRead`].
-    pub fn read(&self, cursor: &mut Cursor) -> RingRead {
+    pub fn read(&self, cursor: &mut Cursor) -> RingRead<T> {
         let inner = lock_unpoisoned(&self.inner);
         let head = self.head.load(Ordering::Relaxed);
         if cursor.next >= head {
@@ -182,7 +183,7 @@ impl SegmentRing {
                 let read = RingRead::Payload {
                     seq: slot.seq,
                     slot: slot.air_slot,
-                    payload: Arc::clone(&slot.payload),
+                    payload: slot.payload.clone(),
                 };
                 cursor.next += 1;
                 read
@@ -217,25 +218,23 @@ fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn payload(segment: u32) -> Arc<SegmentPayload> {
-        Arc::new(SegmentPayload::synthesize(1, 0, segment, 16))
-    }
+    use crate::store::SegmentPayload;
+    use std::sync::Arc;
 
     #[test]
     fn reads_see_publications_in_order() {
         let ring = SegmentRing::new(4);
         let mut cursor = ring.cursor();
         assert!(matches!(ring.read(&mut cursor), RingRead::Empty));
-        for s in 0..3 {
-            assert_eq!(ring.publish(payload(s), u64::from(s) + 100), u64::from(s));
+        for s in 0..3u32 {
+            assert_eq!(ring.publish(s, u64::from(s) + 100), u64::from(s));
         }
         for s in 0..3u64 {
             match ring.read(&mut cursor) {
                 RingRead::Payload { seq, slot, payload } => {
                     assert_eq!(seq, s);
                     assert_eq!(slot, s + 100, "air slot rides the publication");
-                    assert_eq!(u64::from(payload.segment()), s);
+                    assert_eq!(u64::from(payload), s, "the entry names its segment");
                 }
                 other => panic!("expected payload {s}, got {other:?}"),
             }
@@ -247,8 +246,8 @@ mod tests {
     fn lapped_cursor_gets_an_explicit_gap_then_live_data() {
         let ring = SegmentRing::new(2);
         let mut cursor = ring.cursor();
-        for s in 0..5 {
-            ring.publish(payload(s), u64::from(s));
+        for s in 0..5u32 {
+            ring.publish(s, u64::from(s));
         }
         match ring.read(&mut cursor) {
             RingRead::Gap { missed, resume } => {
@@ -271,14 +270,14 @@ mod tests {
     #[test]
     fn new_cursors_start_at_the_head() {
         let ring = SegmentRing::new(8);
-        ring.publish(payload(0), 0);
-        ring.publish(payload(1), 1);
+        ring.publish(0, 0);
+        ring.publish(1, 1);
         let mut late = ring.cursor();
         assert!(
             matches!(ring.read(&mut late), RingRead::Empty),
             "late joiners never receive stale segments"
         );
-        ring.publish(payload(2), 2);
+        ring.publish(2, 2);
         assert!(matches!(
             ring.read(&mut late),
             RingRead::Payload { seq: 2, .. }
@@ -296,8 +295,8 @@ mod tests {
                 evicted: 0
             }
         );
-        for s in 0..5 {
-            ring.publish(payload(s), u64::from(s));
+        for s in 0..5u32 {
+            ring.publish(s, u64::from(s));
         }
         assert_eq!(
             ring.stats(),
@@ -312,7 +311,7 @@ mod tests {
     #[test]
     fn fanout_is_arc_sharing_not_copies() {
         let ring = SegmentRing::new(4);
-        let p = payload(9);
+        let p = Arc::new(SegmentPayload::synthesize(1, 0, 9, 16));
         ring.publish(Arc::clone(&p), 42);
         let mut a = Cursor::at(0);
         let mut b = Cursor::at(0);
@@ -329,8 +328,8 @@ mod tests {
     fn capacity_is_clamped_to_one() {
         let ring = SegmentRing::new(0);
         assert_eq!(ring.capacity(), 1);
-        ring.publish(payload(0), 0);
-        ring.publish(payload(1), 1);
+        ring.publish(0, 0);
+        ring.publish(1, 1);
         let mut c = Cursor::at(0);
         assert!(matches!(
             ring.read(&mut c),

@@ -1,4 +1,5 @@
-//! Deterministic segment payloads: synthesized, cached, checksummed.
+//! Deterministic segment payloads: a seekable byte stream, plus the
+//! whole-payload oracle built from it.
 //!
 //! There are no media files in this repository, so the data plane
 //! manufactures its own. A payload's bytes are a pure function of
@@ -6,7 +7,9 @@
 //! triple — which means a client holding the same seed can regenerate
 //! the exact bytes it should have received and verify delivery
 //! end-to-end, byte for byte, with nothing but a `u64` shared out of
-//! band.
+//! band. [`PayloadStream`] produces ([`fill`](PayloadStream::fill)) or
+//! checks ([`matches`](PayloadStream::matches)) any byte range in place;
+//! the server and the client both work on chunks through it.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -118,6 +121,29 @@ impl PayloadStream {
             .wrapping_add(k.wrapping_add(1).wrapping_mul(GAMMA)))
     }
 
+    /// Writes the stream's bytes starting at byte `offset` into `buf` —
+    /// exactly `SegmentPayload::synthesize(..).bytes()[offset..offset +
+    /// buf.len()]`, without building the bytes before `offset`.
+    pub fn fill(&self, offset: u64, buf: &mut [u8]) {
+        let mut k = offset / 8;
+        // A range starting mid-word: write the rest of that word first.
+        let skip = (offset % 8) as usize;
+        let head = buf.len().min((8 - skip) % 8);
+        let (first, rest) = buf.split_at_mut(head);
+        if head > 0 {
+            first.copy_from_slice(&self.word(k).to_le_bytes()[skip..skip + head]);
+            k += 1;
+        }
+        let mut words = rest.chunks_exact_mut(8);
+        for w in &mut words {
+            w.copy_from_slice(&self.word(k).to_le_bytes());
+            k += 1;
+        }
+        let tail = words.into_remainder();
+        let n = tail.len();
+        tail.copy_from_slice(&self.word(k).to_le_bytes()[..n]);
+    }
+
     /// Whether `bytes` equal the stream's bytes starting at byte `offset`.
     #[must_use]
     pub fn matches(&self, offset: u64, bytes: &[u8]) -> bool {
@@ -178,10 +204,11 @@ pub fn payload_len_for(bytes_per_media_sec: u64, segment_secs: f64) -> usize {
 
 /// A cache of synthesized payloads keyed by `(video, segment)`.
 ///
-/// The first publish of a segment synthesizes its bytes; every repeat
-/// publication of the same segment (broadcast protocols re-air segments
-/// constantly) reuses the cached `Arc`, so steady-state publishing is
-/// an `Arc` clone, not an allocation.
+/// The first request for a segment synthesizes its bytes and every later
+/// one shares the cached `Arc`; nothing is ever evicted. The service does
+/// not use it (its rings name segments and generate bytes at encode time
+/// through [`PayloadStream`]); it is kept only for tests and for the
+/// benchmark's replay rows that time cold synthesis and checksumming.
 #[derive(Debug)]
 pub struct SegmentStore {
     seed: u64,
@@ -269,6 +296,18 @@ mod tests {
             assert_eq!(p.len(), len);
             assert_eq!(p.is_empty(), len == 0);
         }
+    }
+
+    #[test]
+    fn fill_resumes_three_bytes_into_a_word() {
+        // A 1,080,000-byte segment split at the 1 MiB wire cap: its second
+        // chunk starts at byte 1,048,531, three bytes past a word boundary.
+        let payload = SegmentPayload::synthesize(5, 15, 2, 1_080_000);
+        let stream = PayloadStream::new(5, 15, 2);
+        let mut chunk = vec![0; 1_080_000 - 1_048_531];
+        stream.fill(1_048_531, &mut chunk);
+        assert_eq!(chunk, payload.bytes()[1_048_531..]);
+        assert!(stream.matches(1_048_531, &chunk));
     }
 
     #[test]

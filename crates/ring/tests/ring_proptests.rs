@@ -151,4 +151,25 @@ proptest! {
             prop_assert!(!stream.matches(start as u64, &flipped), "flip at {}", start + at);
         }
     }
+
+    #[test]
+    fn payload_stream_fill_is_byte_identical_to_synthesis(
+        seed in any::<u64>(),
+        video in any::<u32>(),
+        segment in any::<u32>(),
+        word in 0usize..256,
+        in_word in 0usize..8,
+        len in 0usize..2_100,
+    ) {
+        // Offsets cover every residue mod 8 (a chunk boundary rarely falls
+        // on a word), lengths every residue too.
+        let offset = word * 8 + in_word;
+        let payload = SegmentPayload::synthesize(seed, video, segment, offset + len);
+        let stream = PayloadStream::new(seed, video, segment);
+        // Sentinels either side catch a fill that writes past its range.
+        let mut buf = vec![0xa5u8; len + 2];
+        stream.fill(offset as u64, &mut buf[1..=len]);
+        prop_assert_eq!(&buf[1..=len], &payload.bytes()[offset..]);
+        prop_assert_eq!((buf[0], buf[len + 1]), (0xa5, 0xa5));
+    }
 }

@@ -1,16 +1,21 @@
-//! The service-side broadcast data plane: per-channel segment rings,
-//! zero-copy subscriber fan-out, and the deterministic segment store.
+//! The service-side broadcast data plane: per-channel segment rings and
+//! zero-copy subscriber fan-out of chunks generated on demand.
 //!
 //! Every valid catalog video is one broadcast **channel**: a
-//! [`SegmentRing`] of `Arc<SegmentPayload>` publications plus a subscriber
-//! list. When a shard schedules a segment instance it calls
-//! [`DataPlane::publish`], which synthesizes (or fetches from the store
-//! cache) the deterministic payload, publishes it **once** into the ring,
-//! encodes the wire chunks **once**, and then pumps every subscriber:
-//! each queue receives `Arc` clones of the same encoded chunks, so fan-out
-//! degree N costs N queue pushes, not N payload copies — the
+//! [`SegmentRing`] whose entries name a segment (plus the slot and channel
+//! seq every ring entry carries) and a subscriber list. When a shard
+//! schedules a segment instance it calls [`DataPlane::publish`], which
+//! writes the segment number into the ring **once**. Payload bytes exist
+//! only on the way to a subscriber: if the channel has any, the head
+//! publication's wire chunks are encoded **once**, each into one
+//! exact-size buffer — the `SegmentData` header, then bytes written in
+//! place from the deterministic [`PayloadStream`] — and every subscriber
+//! is pumped. Each queue receives `Arc` clones of the same encoded chunks,
+//! so fan-out degree N costs N queue pushes, not N payload copies — the
 //! `svc.ring.published ≪ svc.ring.fanout` invariant the loopback test
-//! asserts.
+//! asserts. The server keeps no payload cache and runs no checksum:
+//! payload memory is bounded by what sits in outbound queues, and a
+//! channel nobody subscribes to costs a ring entry per publication.
 //!
 //! Backpressure vs. eviction: the pump never blocks. A subscriber whose
 //! outbound queue lacks room for the whole publication is left *lagged in
@@ -25,16 +30,18 @@
 //! maximal chunks (all-but-last exactly at the cap, offsets tiling
 //! `0..total_len`), so a single `SegmentData` frame never exceeds the
 //! 1 MiB wire cap. A lagging subscriber catching up on an older ring entry
-//! re-encodes that publication for itself — the rare path pays the copy,
-//! the hot head-of-ring path stays shared.
+//! has that publication's chunks generated and encoded for itself by the
+//! same path — the rare path pays the work, the hot head-of-ring path
+//! stays shared.
 
+use std::iter;
 use std::sync::{Arc, Mutex};
 
-use vod_ring::{RingRead, SegmentPayload, SegmentRing, SegmentStore};
+use vod_ring::{PayloadStream, RingRead, SegmentRing};
 
 use crate::eventloop::{ConnSender, DataSend};
 use crate::session::lock_unpoisoned;
-use crate::wire::{Frame, SEGMENT_CHUNK_BYTES};
+use crate::wire::{segment_data_header, Frame, SEGMENT_CHUNK_BYTES};
 use vod_obs::RejectKind;
 
 /// What one [`DataPlane::publish`] observed, aggregated by the shard into
@@ -90,7 +97,8 @@ struct SubEntry {
 }
 
 struct Channel {
-    ring: SegmentRing,
+    /// Publications, each naming the segment it carries.
+    ring: SegmentRing<u32>,
     subs: Mutex<Vec<SubEntry>>,
     payload_len: u64,
     slot_ns: u64,
@@ -100,7 +108,8 @@ struct Channel {
 /// The per-service broadcast data plane: one channel per catalog video.
 pub(crate) struct DataPlane {
     channels: Vec<Channel>,
-    store: SegmentStore,
+    /// Seed of every channel's [`PayloadStream`]s.
+    seed: u64,
 }
 
 impl DataPlane {
@@ -116,7 +125,7 @@ impl DataPlane {
                     valid: init.valid,
                 })
                 .collect(),
-            store: SegmentStore::new(seed),
+            seed,
         }
     }
 
@@ -184,16 +193,16 @@ impl DataPlane {
             .map_or(0, |ch| lock_unpoisoned(&ch.subs).len())
     }
 
-    /// Publishes the deterministic payload of `(video, segment)` — granted
-    /// to air at absolute slot `slot` — into the channel ring exactly once,
-    /// then pumps every subscriber as far as its queue allows.
+    /// Publishes `(video, segment)` — granted to air at absolute slot
+    /// `slot` — into the channel ring exactly once, then, if the channel
+    /// has subscribers, encodes its chunks and pumps every subscriber as
+    /// far as its queue allows.
     pub(crate) fn publish(&self, video: u32, segment: u32, slot: u64) -> PublishOutcome {
         let mut out = PublishOutcome::default();
         let Some(ch) = self.channels.get(video as usize) else {
             return out;
         };
-        let payload = self.store.payload(video, segment, ch.payload_len as usize);
-        let seq = ch.ring.publish(Arc::clone(&payload), slot);
+        let seq = ch.ring.publish(segment, slot);
         out.published = 1;
         let mut subs = lock_unpoisoned(&ch.subs);
         if subs.is_empty() {
@@ -201,94 +210,106 @@ impl DataPlane {
         }
         // Encode the head publication's wire chunks once; every caught-up
         // subscriber's queue shares them by Arc clone.
-        let head_chunks = encode_chunks(video, segment, slot, seq, &payload);
-        pump(ch, video, seq, &head_chunks, &mut subs, &mut out);
+        let head_chunks = self.encode(ch, video, segment, slot, seq);
+        self.pump(ch, video, seq, &head_chunks, &mut subs, &mut out);
         out
     }
 
-    /// The deterministic store backing this plane's payloads.
-    #[cfg(test)]
-    pub(crate) fn store(&self) -> &SegmentStore {
-        &self.store
-    }
-}
-
-/// Advances every subscriber of `ch` as far as its outbound queue allows,
-/// translating ring reads into queue pushes and accounting the outcome.
-/// Dead connections are dropped; full queues keep their cursor (lag);
-/// lapped cursors take their explicit gap and resume live.
-fn pump(
-    ch: &Channel,
-    video: u32,
-    head_seq: u64,
-    head_chunks: &[Arc<[u8]>],
-    subs: &mut Vec<SubEntry>,
-    out: &mut PublishOutcome,
-) {
-    subs.retain_mut(|sub| loop {
-        // Probe-then-commit: read on a cursor copy so a delivery that does
-        // not fit leaves the subscriber exactly where it was.
-        let mut probe = sub.cursor;
-        match ch.ring.read(&mut probe) {
-            RingRead::Empty => return true,
-            RingRead::Gap { missed, .. } => {
-                sub.cursor = probe;
-                out.gaps += 1;
-                out.evictions += missed;
-            }
-            RingRead::Payload { seq, slot, payload } => {
-                let encoded;
-                let chunks = if seq == head_seq {
-                    head_chunks
-                } else {
-                    // Catching up on an older publication: re-encode for
-                    // this subscriber alone.
-                    encoded = encode_chunks(video, payload.segment(), slot, seq, &payload);
-                    &encoded
-                };
-                match sub.sender.try_send_data(chunks) {
-                    DataSend::Sent => {
-                        sub.cursor = probe;
-                        out.fanout += 1;
-                        out.bytes += payload.len() as u64;
+    /// Advances every subscriber of `ch` as far as its outbound queue
+    /// allows, translating ring reads into queue pushes and accounting the
+    /// outcome. Dead connections are dropped; full queues keep their
+    /// cursor (lag); lapped cursors take their explicit gap and resume live.
+    fn pump(
+        &self,
+        ch: &Channel,
+        video: u32,
+        head_seq: u64,
+        head_chunks: &[Arc<[u8]>],
+        subs: &mut Vec<SubEntry>,
+        out: &mut PublishOutcome,
+    ) {
+        subs.retain_mut(|sub| loop {
+            // Probe-then-commit: read on a cursor copy so a delivery that
+            // does not fit leaves the subscriber exactly where it was.
+            let mut probe = sub.cursor;
+            match ch.ring.read(&mut probe) {
+                RingRead::Empty => return true,
+                RingRead::Gap { missed, .. } => {
+                    sub.cursor = probe;
+                    out.gaps += 1;
+                    out.evictions += missed;
+                }
+                RingRead::Payload {
+                    seq,
+                    slot,
+                    payload: segment,
+                } => {
+                    let encoded;
+                    let chunks = if seq == head_seq {
+                        head_chunks
+                    } else {
+                        // Catching up on an older publication: encode it
+                        // for this subscriber alone.
+                        encoded = self.encode(ch, video, segment, slot, seq);
+                        &encoded
+                    };
+                    match sub.sender.try_send_data(chunks) {
+                        DataSend::Sent => {
+                            sub.cursor = probe;
+                            out.fanout += 1;
+                            out.bytes += ch.payload_len;
+                        }
+                        DataSend::Full => return true,
+                        DataSend::Closed => return false,
                     }
-                    DataSend::Full => return true,
-                    DataSend::Closed => return false,
                 }
             }
-        }
-    });
-}
+        });
+    }
 
-/// Encodes one publication as its complete, length-prefixed `SegmentData`
-/// wire images: all-but-last chunks exactly [`SEGMENT_CHUNK_BYTES`] long,
-/// offsets tiling `0..total_len` gap-free.
-fn encode_chunks(
-    video: u32,
-    segment: u32,
-    slot: u64,
-    channel_seq: u64,
-    payload: &SegmentPayload,
-) -> Vec<Arc<[u8]>> {
-    let bytes = payload.bytes();
-    let total_len = bytes.len() as u64;
-    let mut chunks = Vec::with_capacity(bytes.len() / SEGMENT_CHUNK_BYTES + 1);
-    let mut offset = 0usize;
-    loop {
-        let end = (offset + SEGMENT_CHUNK_BYTES).min(bytes.len());
-        let frame = Frame::SegmentData {
-            video,
-            segment,
-            slot,
-            channel_seq,
-            offset: offset as u64,
-            total_len,
-            bytes: bytes[offset..end].to_vec(),
-        };
-        chunks.push(Arc::from(frame.encode()));
-        offset = end;
-        if offset >= bytes.len() {
-            return chunks;
+    /// Encodes publication `seq` of `(video, segment)` as its complete,
+    /// length-prefixed `SegmentData` wire images: all-but-last chunks carry
+    /// exactly [`SEGMENT_CHUNK_BYTES`], offsets tile `0..payload_len`
+    /// gap-free. Each chunk is one buffer of its exact wire size, header
+    /// first, payload bytes filled in place from the segment's
+    /// [`PayloadStream`] — byte-identical to encoding a
+    /// `Frame::SegmentData` around the same slice of the synthesized
+    /// payload.
+    fn encode(
+        &self,
+        ch: &Channel,
+        video: u32,
+        segment: u32,
+        slot: u64,
+        seq: u64,
+    ) -> Vec<Arc<[u8]>> {
+        let stream = PayloadStream::new(self.seed, video, segment);
+        let total = ch.payload_len as usize;
+        let mut chunks = Vec::with_capacity(total / SEGMENT_CHUNK_BYTES + 1);
+        let mut offset = 0usize;
+        loop {
+            let end = (offset + SEGMENT_CHUNK_BYTES).min(total);
+            let header = segment_data_header(
+                video,
+                segment,
+                slot,
+                seq,
+                offset as u64,
+                ch.payload_len,
+                end - offset,
+            );
+            // A trusted-length iterator collects into one allocation of the
+            // exact size, which this thread then owns uniquely.
+            let mut chunk: Arc<[u8]> = iter::repeat_n(0, header.len() + end - offset).collect();
+            let buf = Arc::get_mut(&mut chunk).expect("a fresh Arc is unshared");
+            let (head, body) = buf.split_at_mut(header.len());
+            head.copy_from_slice(&header);
+            stream.fill(offset as u64, body);
+            chunks.push(chunk);
+            offset = end;
+            if offset >= total {
+                return chunks;
+            }
         }
     }
 }
@@ -299,6 +320,7 @@ mod tests {
     use crate::telemetry::Outbound;
     use crate::wire::FrameDecoder;
     use std::collections::VecDeque;
+    use vod_ring::SegmentPayload;
 
     fn plane(videos: usize, payload_len: u64, ring_cap: usize) -> DataPlane {
         DataPlane::new(
@@ -399,8 +421,19 @@ mod tests {
         ));
     }
 
+    /// The chunks `plane` encodes for publication `seq` of `(video, segment)`.
+    fn chunks_of(
+        plane: &DataPlane,
+        video: u32,
+        segment: u32,
+        slot: u64,
+        seq: u64,
+    ) -> Vec<Arc<[u8]>> {
+        plane.encode(&plane.channels[video as usize], video, segment, slot, seq)
+    }
+
     #[test]
-    fn publish_fans_out_decodable_chunks_that_match_the_store() {
+    fn publish_fans_out_decodable_chunks_that_match_the_oracle() {
         let plane = plane(1, 100, 8);
         let (sender, _q) = ConnSender::sink();
         let _ = plane.subscribe(0, sender, None).unwrap();
@@ -409,11 +442,10 @@ mod tests {
         assert_eq!(out.fanout, 1);
         assert_eq!(out.bytes, 100);
         assert_eq!(out.evictions, 0);
-        // Chunk images decode back to the store's exact payload bytes.
-        let chunks = encode_chunks(0, 3, 17, 0, &plane.store().payload(0, 3, 100));
+        // Chunk images decode back to the synthesized payload's exact bytes.
         let mut decoder = FrameDecoder::new();
         let mut reassembled = Vec::new();
-        for chunk in &chunks {
+        for chunk in &chunks_of(&plane, 0, 3, 17, 0) {
             decoder.extend(chunk);
             while let Ok(Some(frame)) = decoder.next_frame() {
                 let Frame::SegmentData {
@@ -434,13 +466,53 @@ mod tests {
                 reassembled.extend_from_slice(&bytes);
             }
         }
-        assert_eq!(reassembled, *plane.store().payload(0, 3, 100).bytes());
+        let oracle = SegmentPayload::synthesize(vod_ring::DEFAULT_STORE_SEED, 0, 3, 100);
+        assert_eq!(reassembled, oracle.bytes());
+    }
+
+    #[test]
+    fn chunks_are_byte_identical_to_encoded_frames_of_the_synthesized_payload() {
+        // One, two and three chunks; the 1,080,000-byte payload's second
+        // chunk starts three bytes into a stream word.
+        let lens = [
+            (1, 1),
+            (100, 1),
+            (SEGMENT_CHUNK_BYTES, 1),
+            (SEGMENT_CHUNK_BYTES + 1, 2),
+            (1_080_000, 2),
+            (SEGMENT_CHUNK_BYTES * 2 + 7, 3),
+        ];
+        for (len, expected_chunks) in lens {
+            let (video, segment, slot, seq) = (5, 2, 4_321, 9);
+            let plane = plane(6, len as u64, 4);
+            let chunks = chunks_of(&plane, video, segment, slot, seq);
+            assert_eq!(chunks.len(), expected_chunks, "{len} bytes");
+            let oracle =
+                SegmentPayload::synthesize(vod_ring::DEFAULT_STORE_SEED, video, segment, len);
+            let slices = oracle.bytes().chunks(SEGMENT_CHUNK_BYTES);
+            for (i, (chunk, slice)) in chunks.iter().zip(slices).enumerate() {
+                let frame = Frame::SegmentData {
+                    video,
+                    segment,
+                    slot,
+                    channel_seq: seq,
+                    offset: (i * SEGMENT_CHUNK_BYTES) as u64,
+                    total_len: len as u64,
+                    bytes: slice.to_vec(),
+                };
+                assert!(
+                    **chunk == *frame.encode(),
+                    "{len} bytes: chunk {i} differs from the encoded frame"
+                );
+            }
+        }
     }
 
     #[test]
     fn chunking_tiles_large_payloads_at_the_cap() {
-        let payload = SegmentPayload::synthesize(9, 0, 1, SEGMENT_CHUNK_BYTES * 2 + 7);
-        let chunks = encode_chunks(0, 1, 0, 0, &payload);
+        let len = SEGMENT_CHUNK_BYTES * 2 + 7;
+        let plane = plane(1, len as u64, 4);
+        let chunks = chunks_of(&plane, 0, 1, 0, 0);
         assert_eq!(chunks.len(), 3);
         let mut decoder = FrameDecoder::new();
         let mut next_offset = 0u64;
@@ -452,7 +524,7 @@ mod tests {
             assert_eq!(offset, next_offset, "offsets tile gap-free");
             next_offset += bytes.len() as u64;
         }
-        assert_eq!(next_offset as usize, payload.len());
+        assert_eq!(next_offset as usize, len);
     }
 
     #[test]

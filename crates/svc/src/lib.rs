@@ -65,7 +65,7 @@ pub use telemetry::SPAN_STAGES;
 // server crate.
 pub use vod_server::{CatalogError, SchedulerKind, ServeCatalog, ServeEntry};
 // Re-exported so service binaries can verify delivered bytes against the
-// deterministic store without naming the ring crate.
+// deterministic payloads without naming the ring crate.
 pub use vod_ring::{
     checksum64, payload_len_for, RingStats, SegmentPayload, SegmentRing, SegmentStore,
     DEFAULT_STORE_SEED,

@@ -117,8 +117,8 @@ pub struct SvcConfig {
     /// Per-channel broadcast ring capacity (recent publications retained
     /// for lagging subscribers before eviction-with-overrun).
     pub ring_cap: usize,
-    /// Seed of the deterministic segment store. Clients verifying
-    /// delivered bytes must synthesize their oracle with the same seed.
+    /// Seed of the deterministic segment payloads. Clients verifying
+    /// delivered bytes must generate their oracle with the same seed.
     pub store_seed: u64,
 }
 
@@ -198,8 +198,8 @@ pub(crate) struct Shared {
     pub(crate) replay_cap: usize,
     pub(crate) outbound_cap: usize,
     pub(crate) telemetry: Arc<Telemetry>,
-    /// The broadcast data plane (channel rings, subscribers, segment
-    /// store), shared by event loops (subscribe) and shards (publish).
+    /// The broadcast data plane (channel rings and subscribers), shared by
+    /// event loops (subscribe) and shards (publish).
     pub(crate) data: Arc<DataPlane>,
     /// Fired once at shutdown; admin connection pollers watch it so idle
     /// scrapers and mid-`Watch` streams wake immediately instead of

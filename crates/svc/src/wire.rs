@@ -60,6 +60,43 @@ pub const SEGMENT_DATA_OVERHEAD: usize = 1 + 4 + 4 + 8 + 8 + 8 + 8 + 4;
 /// distinguished by their byte offsets.
 pub const SEGMENT_CHUNK_BYTES: usize = MAX_FRAME_LEN - SEGMENT_DATA_OVERHEAD;
 
+/// Wire bytes of a `SegmentData` frame before its chunk: the length
+/// prefix plus [`SEGMENT_DATA_OVERHEAD`].
+pub(crate) const SEGMENT_DATA_PREFIX: usize = 4 + SEGMENT_DATA_OVERHEAD;
+
+/// The length prefix and header of a `SegmentData` frame carrying
+/// `chunk_len` bytes — everything [`Frame::encode`] writes before the
+/// chunk. The server writes it in front of chunk bytes it generates in
+/// place, so it never builds a `Frame` around them.
+pub(crate) fn segment_data_header(
+    video: u32,
+    segment: u32,
+    slot: u64,
+    channel_seq: u64,
+    offset: u64,
+    total_len: u64,
+    chunk_len: usize,
+) -> [u8; SEGMENT_DATA_PREFIX] {
+    let frame_len = (SEGMENT_DATA_OVERHEAD + chunk_len) as u32;
+    let mut header = [0; SEGMENT_DATA_PREFIX];
+    let mut at = 0;
+    for field in [
+        &frame_len.to_le_bytes()[..],
+        &[TAG_SEGMENT_DATA],
+        &video.to_le_bytes(),
+        &segment.to_le_bytes(),
+        &slot.to_le_bytes(),
+        &channel_seq.to_le_bytes(),
+        &offset.to_le_bytes(),
+        &total_len.to_le_bytes(),
+        &(chunk_len as u32).to_le_bytes(),
+    ] {
+        header[at..at + field.len()].copy_from_slice(field);
+        at += field.len();
+    }
+    header
+}
+
 /// One segment instance granted to a request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GrantedSegment {
@@ -420,15 +457,17 @@ impl Frame {
                 total_len,
                 bytes,
             } => {
+                let header = segment_data_header(
+                    *video,
+                    *segment,
+                    *slot,
+                    *channel_seq,
+                    *offset,
+                    *total_len,
+                    bytes.len(),
+                );
                 out.reserve(SEGMENT_DATA_OVERHEAD + bytes.len());
-                out.push(TAG_SEGMENT_DATA);
-                out.extend_from_slice(&video.to_le_bytes());
-                out.extend_from_slice(&segment.to_le_bytes());
-                out.extend_from_slice(&slot.to_le_bytes());
-                out.extend_from_slice(&channel_seq.to_le_bytes());
-                out.extend_from_slice(&offset.to_le_bytes());
-                out.extend_from_slice(&total_len.to_le_bytes());
-                out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
+                out.extend_from_slice(&header[4..]);
                 out.extend_from_slice(bytes);
             }
         }

@@ -10,7 +10,9 @@
 //! relationship pins. The second test starves one subscriber on purpose
 //! and shows the eviction-with-overrun policy: the slow cursor is lapped
 //! (an explicit gap, counted), while the fast subscribers' bytes stay
-//! perfect.
+//! perfect. The third carries segments larger than one wire chunk, so
+//! every publication arrives as two frames and the second starts mid-way
+//! through a word of the payload stream.
 
 use std::net::TcpStream;
 use std::sync::atomic::Ordering;
@@ -19,7 +21,7 @@ use std::time::Duration;
 use vod_svc::wire::{read_frame, write_frame, Frame};
 use vod_svc::{
     run_load, LoadConfig, SchedulerKind, ServeCatalog, ServeEntry, Service, SvcConfig,
-    PROTOCOL_VERSION,
+    PROTOCOL_VERSION, SEGMENT_CHUNK_BYTES,
 };
 use vod_types::{Seconds, VideoSpec};
 
@@ -225,5 +227,65 @@ fn slow_subscriber_is_evicted_with_overrun_while_fast_ones_stay_byte_identical()
     );
 
     drop(slow);
+    let _ = service.shutdown();
+}
+
+#[test]
+fn multi_chunk_segments_reassemble_byte_identical_for_every_subscriber() {
+    // A six-segment two-hour DHB title at 900 B per media-second: each
+    // 1,080,000-byte segment spans two chunks, the second starting at byte
+    // 1,048,531 — three bytes into a payload-stream word.
+    const SEGMENT_BYTES: u64 = 1_080_000;
+    let catalog = ServeCatalog::from_entries(vec![ServeEntry {
+        segment_secs: 1_200.0,
+        bytes_per_sec: Some(900),
+        kind: SchedulerKind::Dhb { segments: 6 },
+    }]);
+    let service = Service::start(
+        "127.0.0.1:0",
+        &SvcConfig {
+            catalog,
+            shards: 1,
+            dilation: 1_000,
+            ..SvcConfig::default()
+        },
+    )
+    .expect("service starts");
+    assert!(SEGMENT_BYTES as usize > SEGMENT_CHUNK_BYTES);
+
+    let report = run_load(
+        service.local_addr(),
+        &LoadConfig {
+            conns: 2,
+            requests_per_conn: 4,
+            videos: 1,
+            window: 2,
+            arrival_stride: Some(1),
+            verify_bytes: true,
+            ..LoadConfig::default()
+        },
+    )
+    .expect("load run succeeds");
+
+    assert_eq!(report.protocol_errors, 0, "{}", report.render());
+    assert_eq!(report.subscriptions, 2, "{}", report.render());
+    assert_eq!(report.data.checksum_mismatches, 0, "{}", report.render());
+    assert_eq!(report.data.chunk_errors, 0, "{}", report.render());
+    assert_eq!(report.data.gaps, 0, "{}", report.render());
+    assert_eq!(report.data.byte_deadline_misses, 0, "{}", report.render());
+    // The first request schedules all six segments, and both subscribers
+    // see every publication whole.
+    assert!(
+        report.data.segments_verified >= 2 * 6,
+        "{}",
+        report.render()
+    );
+    assert_eq!(
+        report.data.bytes_delivered,
+        report.data.segments_verified * SEGMENT_BYTES,
+        "every verified publication carried its full multi-chunk payload: {}",
+        report.render()
+    );
+
     let _ = service.shutdown();
 }
